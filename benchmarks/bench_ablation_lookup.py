@@ -1,9 +1,10 @@
 """Ablation: candidate-set lookup strategy.
 
-Compares the Aho-Corasick automaton (one pass over the text for all
-tokens) against the naive per-token substring scan a straightforward
-implementation would use.  Both find the same leaks; the automaton's
-advantage grows with the candidate-set size.
+Compares the token set's prefix index (one dict probe per text
+position, keyed by the shortest token length) against the naive
+per-token substring scan a straightforward implementation would use.
+Both find the same leaks; the index's advantage grows with the
+candidate-set size.
 """
 
 import pytest
@@ -25,11 +26,11 @@ def scan_texts(crawl):
     return _scan_texts(crawl)
 
 
-def test_bench_lookup_aho_corasick(benchmark, tokens, scan_texts):
-    def automaton_scan():
+def test_bench_lookup_prefix_index(benchmark, tokens, scan_texts):
+    def index_scan():
         return sum(len(tokens.scan(text)) for text in scan_texts)
 
-    hits = benchmark(automaton_scan)
+    hits = benchmark(index_scan)
     assert hits > 0
 
 

@@ -8,7 +8,6 @@ maximum 16 (loccitane.com).
 import pytest
 
 from repro.core import CandidateTokenSet, LeakAnalysis, LeakDetector
-from repro.core.detector import leaking_requests
 from repro.core.persona import DEFAULT_PERSONA
 from repro.crawler import StudyCrawler
 from repro.reporting import render_headline
@@ -30,7 +29,7 @@ def test_bench_full_pipeline(benchmark, emit):
     dataset, detector, events = benchmark.pedantic(pipeline, rounds=1,
                                                    iterations=1)
     analysis = LeakAnalysis(events)
-    count = len(leaking_requests(dataset.log, detector))
+    count = len(detector.run(dataset.log).leaking_entries)
     emit("headline", render_headline(analysis, total_sites=307,
                                      leaking_requests=count))
     assert len(analysis.senders()) == 130

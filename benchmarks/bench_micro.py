@@ -6,9 +6,8 @@ Two modes:
   pytest-benchmark cases below time individual primitives;
 * standalone (``python benchmarks/bench_micro.py`` or via
   ``harness.py --update-baseline --bench micro``) :func:`run` times the
-  two hot-path primitives the compiled-assets work optimised —
-  blocklist matching (interpreted vs. Aho–Corasick-compiled) and
-  encoding-chain enumeration — and writes a harness
+  hot-path primitives — blocklist matching, encoding-chain enumeration,
+  and the candidate token set's build and scan — and writes a harness
   :class:`~harness.BenchReport` so the registry can gate them against a
   committed ``BENCH_micro.json`` baseline.
 """
@@ -26,7 +25,7 @@ import pytest
 
 from repro import hashes
 from repro.blocklist import RequestContext, RuleSet, easyprivacy_text
-from repro.core import AhoCorasick, CandidateTokenSet, TokenSetConfig
+from repro.core import CandidateTokenSet, TokenSetConfig
 from repro.core.persona import DEFAULT_PERSONA
 
 _EMAIL = DEFAULT_PERSONA.email.encode()
@@ -46,18 +45,11 @@ def test_bench_token_set_build(benchmark):
         rounds=2, iterations=1)
 
 
-def test_bench_automaton_build(benchmark):
-    patterns = [hashes.apply_chain("user%d@mail.example" % i, ["sha256"])
-                for i in range(500)]
-
-    def build():
-        automaton = AhoCorasick()
-        for pattern in patterns:
-            automaton.add(pattern, None)
-        automaton.build()
-        return automaton
-
-    benchmark(build)
+def test_bench_token_scan(benchmark):
+    tokens = CandidateTokenSet(DEFAULT_PERSONA, recorder=None)
+    texts = _scan_workload(tokens)
+    hits = benchmark(lambda: sum(len(tokens.scan(text)) for text in texts))
+    assert hits > 0
 
 
 _HIT_CONTEXT = RequestContext(
@@ -78,18 +70,6 @@ def test_bench_blocklist_match(benchmark):
 
 def test_bench_blocklist_miss(benchmark):
     rules = RuleSet.from_text(easyprivacy_text())
-    result = benchmark(rules.match, _MISS_CONTEXT)
-    assert not result.blocked
-
-
-def test_bench_blocklist_match_compiled(benchmark):
-    rules = RuleSet.from_text(easyprivacy_text()).compile()
-    result = benchmark(rules.match, _HIT_CONTEXT)
-    assert result.blocked
-
-
-def test_bench_blocklist_miss_compiled(benchmark):
-    rules = RuleSet.from_text(easyprivacy_text()).compile()
     result = benchmark(rules.match, _MISS_CONTEXT)
     assert not result.blocked
 
@@ -133,8 +113,8 @@ def test_bench_caching_resolver(benchmark, study_spec):
 
 
 # ---------------------------------------------------------------------------
-# Standalone harness mode: the two compiled-assets hot-path primitives,
-# recorded into the baseline registry as bench "micro".
+# Standalone harness mode: the hot-path primitives, recorded into the
+# baseline registry as bench "micro".
 # ---------------------------------------------------------------------------
 
 OUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out",
@@ -146,6 +126,13 @@ MATCH_PASSES = 2000
 
 #: Cold token-set builds per enumeration measurement.
 ENUMERATION_BUILDS = 3
+
+#: Warm token-set builds per build measurement (the apply_chain memo
+#: is left as the previous build left it).
+TOKEN_BUILDS = 3
+
+#: Passes over the scan workload per scan measurement.
+SCAN_PASSES = 50
 
 
 def _match_workload():
@@ -174,6 +161,22 @@ def _match_workload():
     return contexts
 
 
+def _scan_workload(tokens):
+    """A deterministic mix of leaking and clean request texts.
+
+    Every 50th candidate token is embedded in a tracking-pixel URL (so
+    the scan confirms real hits, plain and hashed alike), interleaved
+    with benign URLs of the same shape.
+    """
+    texts = []
+    for i, token in enumerate(tokens.tokens()[::50]):
+        texts.append("https://www.facebook.com/tr?ev=identify&v=%d"
+                     "&udff%%5Bem%%5D=%s&cd=%s" % (i, token, token[:5]))
+        texts.append("https://static.shop.example/img/product-%d.jpg"
+                     "?w=640&h=480&q=%s" % (i, "0" * (i % 40)))
+    return texts
+
+
 def run(quick=True, out_path=OUT_PATH):
     """Time the hot-path primitives; returns a harness BenchReport.
 
@@ -185,34 +188,18 @@ def run(quick=True, out_path=OUT_PATH):
     del quick
     report = BenchReport(name="micro")
     rules = RuleSet.from_text(easyprivacy_text())
-    compiled = rules.compile()
     contexts = _match_workload()
-    # The compiled engine must agree with the interpreted one before
-    # its timing is worth recording.
-    for context in contexts:
-        assert compiled.match(context) == rules.match(context), (
-            "compiled/interpreted matcher disagree on %s" % context.url)
-
-    wall = {}
-    for label, engine in (("blocklist-match/interpreted", rules),
-                          ("blocklist-match/compiled", compiled)):
-        with timed() as timer:
-            for _ in range(MATCH_PASSES):
-                for context in contexts:
-                    engine.match(context)
-        wall[label] = timer.seconds
-        case = report.add(BenchCase(
-            label=label, wall_seconds=timer.seconds,
-            items=MATCH_PASSES * len(contexts),
-            params={"passes": MATCH_PASSES, "urls": len(contexts),
-                    "filters": len(rules)}))
-        print("%-32s %7.3fs  %8.0f matches/s"
-              % (case.label, case.wall_seconds, case.items_per_second))
-    if wall["blocklist-match/compiled"] > 0:
-        report.note("interpreted/compiled wall ratio: %.2fx (>1 means the "
-                    "compiled engine is faster on this workload)"
-                    % (wall["blocklist-match/interpreted"]
-                       / wall["blocklist-match/compiled"]))
+    with timed() as timer:
+        for _ in range(MATCH_PASSES):
+            for context in contexts:
+                rules.match(context)
+    case = report.add(BenchCase(
+        label="blocklist-match/interpreted", wall_seconds=timer.seconds,
+        items=MATCH_PASSES * len(contexts),
+        params={"passes": MATCH_PASSES, "urls": len(contexts),
+                "filters": len(rules)}))
+    print("%-32s %7.3fs  %8.0f matches/s"
+          % (case.label, case.wall_seconds, case.items_per_second))
 
     token_count = 0
     with timed() as timer:
@@ -225,6 +212,31 @@ def run(quick=True, out_path=OUT_PATH):
         items=ENUMERATION_BUILDS * token_count,
         params={"builds": ENUMERATION_BUILDS, "tokens": token_count}))
     print("%-32s %7.3fs  %8.0f tokens/s"
+          % (case.label, case.wall_seconds, case.items_per_second))
+
+    with timed() as timer:
+        for _ in range(TOKEN_BUILDS):
+            tokens = CandidateTokenSet(DEFAULT_PERSONA, recorder=None)
+    case = report.add(BenchCase(
+        label="token-build", wall_seconds=timer.seconds,
+        items=TOKEN_BUILDS * tokens.token_count,
+        params={"builds": TOKEN_BUILDS, "tokens": tokens.token_count}))
+    print("%-32s %7.3fs  %8.0f tokens/s"
+          % (case.label, case.wall_seconds, case.items_per_second))
+
+    texts = _scan_workload(tokens)
+    hits = 0
+    with timed() as timer:
+        for _ in range(SCAN_PASSES):
+            for text in texts:
+                hits += len(tokens.scan(text))
+    assert hits, "the scan workload found no tokens"
+    case = report.add(BenchCase(
+        label="token-scan", wall_seconds=timer.seconds,
+        items=SCAN_PASSES * len(texts),
+        params={"passes": SCAN_PASSES, "texts": len(texts),
+                "tokens": tokens.token_count}))
+    print("%-32s %7.3fs  %8.0f texts/s"
           % (case.label, case.wall_seconds, case.items_per_second))
 
     path = report.write(out_path)

@@ -40,7 +40,6 @@ from harness import BenchCase, BenchReport, StageTimes, timed  # noqa: E402
 
 from repro import hashes  # noqa: E402
 from repro.core import CompiledStudyAssets, Study, StudyConfig  # noqa: E402
-from repro.core.assets import clear_process_assets  # noqa: E402
 from repro.crawler import (  # noqa: E402
     CalibratedPopulationSpec,
     GeneratedPopulationSpec,
@@ -106,18 +105,13 @@ def run(quick: bool = False, out_path: str = OUT_PATH,
         fingerprints = {}
         snapshots = {}
         for workers in worker_counts:
-            # Every case starts cold — fresh assets, empty process
-            # memos — so a case measures the same thing whether the
-            # sweep runs in one process or one invocation per worker
-            # count (as CI does).  Within a case the assets are
-            # compiled once and threaded exactly as Study.crawl does:
-            # the parent seeds its process memo, in-process shards
-            # reuse the bundle, and forked workers inherit it
-            # copy-on-write instead of rebuilding per shard.
-            clear_process_assets()
+            # Every case starts cold — fresh assets, empty chain memo —
+            # so a case measures the same thing whether the sweep runs
+            # in one process or one invocation per worker count (as CI
+            # does).  Within a case the assets are compiled once and
+            # threaded exactly as Study.crawl does.
             hashes.clear_chain_cache()
-            assets = CompiledStudyAssets.for_population(
-                spec.build(), population_spec=spec)
+            assets = CompiledStudyAssets.for_population(spec.build())
             recorder = Recorder() if trace_path else None
             engine = ParallelCrawler(spec, workers=workers,
                                      num_shards=NUM_SHARDS,

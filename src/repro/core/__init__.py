@@ -1,8 +1,7 @@
 """Core contribution: persona, candidate tokens, leak detection, analysis,
 and the end-to-end study pipeline."""
 
-from .aho import AhoCorasick, Match
-from .assets import CompiledStudyAssets, StudyAssetsSpec
+from .assets import CompiledStudyAssets
 from .analysis import (
     BreakdownRow,
     ENCODING_ROWS,
@@ -10,7 +9,7 @@ from .analysis import (
     LeakRelationship,
     encoding_label,
 )
-from .detector import DetectionResult, LeakDetector, leaking_requests
+from .detector import DetectionResult, LeakDetector
 from .heuristics import (
     HeuristicDetector,
     SuspectedLeak,
@@ -40,10 +39,9 @@ from .persona import (
     Persona,
 )
 from .pipeline import CrawlOutcome, Study, StudyConfig, StudyResult
-from .tokens import CandidateTokenSet, TokenOrigin, TokenSetConfig
+from .tokens import CandidateTokenSet, Match, TokenOrigin, TokenSetConfig
 
 __all__ = [
-    "AhoCorasick",
     "BreakdownRow",
     "CHANNELS",
     "CHANNEL_COOKIE",
@@ -76,12 +74,10 @@ __all__ = [
     "PII_USERNAME",
     "Persona",
     "Study",
-    "StudyAssetsSpec",
     "StudyConfig",
     "StudyResult",
     "TokenOrigin",
     "TokenSetConfig",
     "channel_for_location",
     "encoding_label",
-    "leaking_requests",
 ]

@@ -1,29 +1,14 @@
 """Compiled study assets: build once, match many (the hot-path API).
 
-Every stage of a study hammers the same immutable inputs — the persona's
-candidate token set, the tracker catalog, the PSL, the blocklists — yet
-the historical code paths rebuilt them per call: ``Study.analyze``
-enumerated thousands of encoding chains per invocation, every shard
-rebuilt its population and token automaton from scratch, and the Table 4
-evaluator re-parsed filter lists per run.  :class:`CompiledStudyAssets`
-is the one public construction path that replaces those implicit
-rebuilds: a study compiles its assets once and threads them
-``Study.crawl → supervisor/parallel → runner → detector``.
-
-Two classes split the work across the process boundary:
-
-* :class:`CompiledStudyAssets` — the live, *unpicklable-by-intent*
-  bundle: the built population, the lazily-compiled
-  :class:`~repro.core.tokens.CandidateTokenSet` (built recorder-free so
-  it can be reused under any trace; see :meth:`replay_token_funnel`),
-  compiled blocklists, detector factories.
-* :class:`StudyAssetsSpec` — the compact picklable recipe
-  (population spec + token config) a :class:`~repro.crawler.parallel.
-  ShardJob` carries instead of heavyweight live objects.  Workers call
-  :meth:`StudyAssetsSpec.compiled`, which memoises per process: every
-  shard that lands in the same worker (and, under a forking start
-  method, every worker inheriting the parent's warm memo) reuses one
-  compiled bundle instead of rebuilding per shard.
+Every stage of a study reads the same immutable inputs — the persona's
+candidate token set, the tracker catalog, the PSL.
+:class:`CompiledStudyAssets` is the live bundle a study builds once and
+threads through ``Study.crawl`` and ``Study.analyze``: the built
+population, the lazily-built :class:`~repro.core.tokens.CandidateTokenSet`
+(built recorder-free so it can be reused under any trace; see
+:meth:`~CompiledStudyAssets.replay_token_funnel`) and detector
+factories.  It stays in the process that built it: shard workers
+rebuild their population from the crawl's picklable population spec.
 
 Nothing here may move a fingerprint: assets only cache pure functions
 of the study's immutable inputs, and the funnel counters a precomputed
@@ -33,8 +18,7 @@ recorder the reusing stage supplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional
 
 from ..obs import Recorder
 from ..psl import PublicSuffixList, default_list
@@ -45,32 +29,28 @@ from .tokens import CandidateTokenSet, TokenSetConfig
 class CompiledStudyAssets:
     """Everything the crawl/analyze hot path needs, compiled once.
 
-    Build it with :meth:`for_population` (or :meth:`StudyAssetsSpec.
-    compiled` inside workers); :class:`~repro.core.pipeline.Study`
-    builds one automatically, or accepts a prebuilt instance via
-    ``StudyConfig(assets=...)`` so several studies over the same
-    population can share the compiled state.
+    Build it with :meth:`for_population`;
+    :class:`~repro.core.pipeline.Study` builds one automatically, or
+    accepts a prebuilt instance via ``StudyConfig(assets=...)`` so
+    several studies over the same population can share the compiled
+    state.
     """
 
     def __init__(self, population, *,
-                 population_spec=None,
                  token_config: Optional[TokenSetConfig] = None,
                  psl: Optional[PublicSuffixList] = None) -> None:
         self.population = population
-        self.population_spec = population_spec
         self.token_config = token_config
         self.psl = psl or default_list()
         self._tokens: Optional[CandidateTokenSet] = None
-        self._compiled_rules: Dict[int, object] = {}
 
     @classmethod
-    def for_population(cls, population, *, population_spec=None,
+    def for_population(cls, population, *,
                        token_config: Optional[TokenSetConfig] = None,
                        psl: Optional[PublicSuffixList] = None
                        ) -> "CompiledStudyAssets":
         """The single public construction path for live assets."""
-        return cls(population, population_spec=population_spec,
-                   token_config=token_config, psl=psl)
+        return cls(population, token_config=token_config, psl=psl)
 
     # -- identity ---------------------------------------------------------
 
@@ -81,21 +61,6 @@ class CompiledStudyAssets:
     @property
     def catalog(self):
         return self.population.catalog
-
-    def spec(self) -> "StudyAssetsSpec":
-        """The picklable recipe for these assets.
-
-        Requires a ``population_spec``; a bundle built straight from a
-        live population has no compact recipe to ship.
-        """
-        if self.population_spec is None:
-            raise ValueError(
-                "these assets were built from a live population without a "
-                "population_spec; construct them with one (e.g. "
-                "Study(population, population_spec=...)) to get a "
-                "picklable StudyAssetsSpec")
-        return StudyAssetsSpec(population_spec=self.population_spec,
-                               token_config=self.token_config)
 
     # -- compiled pieces --------------------------------------------------
 
@@ -133,97 +98,3 @@ class CompiledStudyAssets:
                             psl=self.psl,
                             scan_first_party=scan_first_party,
                             locations=locations, recorder=recorder)
-
-    def compile_rules(self, rules):
-        """Compile (and memoise) a blocklist :class:`~repro.blocklist.
-        matcher.RuleSet` onto the Aho–Corasick engine.
-
-        Already-compiled sets pass through unchanged; each distinct
-        source set is compiled at most once per assets bundle.
-        """
-        from ..blocklist.matcher import CompiledRuleSet
-        if isinstance(rules, CompiledRuleSet):
-            return rules
-        compiled = self._compiled_rules.get(id(rules))
-        if compiled is None:
-            compiled = rules.compile()
-            self._compiled_rules[id(rules)] = compiled
-        return compiled
-
-
-@dataclass(frozen=True)
-class StudyAssetsSpec:
-    """Picklable recipe for :class:`CompiledStudyAssets`.
-
-    The compact payload shard jobs carry across the process boundary:
-    a :class:`~repro.crawler.parallel.PopulationSpec` plus the token
-    config.  :meth:`compiled` rebuilds — or, crucially, *reuses* — the
-    live bundle in the executing process.
-    """
-
-    population_spec: object
-    token_config: Optional[TokenSetConfig] = None
-
-    def compiled(self) -> CompiledStudyAssets:
-        """The process-local compiled bundle for this recipe.
-
-        Memoised per process keyed by the spec's value (identity for
-        unhashable population specs, e.g. prebuilt ones wrapping live
-        populations): all shards executed by one process share a single
-        population + token automaton, and processes forked from a warm
-        parent inherit its memo copy-on-write.
-        """
-        key = self._memo_key()
-        entry = _PROCESS_ASSETS.get(key)
-        # Entries keep the keying spec alive, so an id()-based key can
-        # never alias a new spec onto a dead one's bundle; the identity
-        # check makes that explicit.
-        if entry is not None and (key is self or entry[0] is self):
-            return entry[1]
-        population = self.population_spec.build()
-        assets = CompiledStudyAssets(
-            population, population_spec=self.population_spec,
-            token_config=self.token_config)
-        _memo_store(key, self, assets)
-        return assets
-
-    def seed(self, assets: CompiledStudyAssets) -> None:
-        """Pre-populate the process memo with a live bundle.
-
-        The parent-side warm-up for forking engines: seeding before the
-        workers fork lets every child inherit the already-built bundle
-        copy-on-write and skip its own population build entirely.  (With
-        a ``spawn`` start method children start cold and :meth:`compiled`
-        rebuilds once per worker as before.)
-        """
-        _memo_store(self._memo_key(), self, assets)
-
-    def _memo_key(self) -> Union["StudyAssetsSpec", int]:
-        # Probes hashability only; the memo this keys is process-local
-        # by design, so per-process hash randomisation cannot leak into
-        # anything that crosses a process or a fingerprint.
-        try:
-            hash(self)  # statan: ignore[DET104] -- process-local memo key, never serialized or fingerprinted
-        except TypeError:
-            return id(self)
-        return self
-
-
-#: Process-local memo of compiled bundles (see `StudyAssetsSpec.compiled`):
-#: key -> (keying spec, bundle), insertion-ordered for FIFO eviction.
-_PROCESS_ASSETS: Dict[object, tuple] = {}
-_PROCESS_ASSETS_LIMIT = 4
-
-
-def _memo_store(key: object, spec: "StudyAssetsSpec",
-                assets: CompiledStudyAssets) -> None:
-    while len(_PROCESS_ASSETS) >= _PROCESS_ASSETS_LIMIT:
-        # FIFO eviction: bound what a long-lived service process can
-        # pin (populations are large); evicted recipes just rebuild.
-        _PROCESS_ASSETS.pop(next(iter(_PROCESS_ASSETS)))
-    _PROCESS_ASSETS[key] = (spec, assets)
-
-
-def clear_process_assets() -> None:
-    """Drop the process-local assets memo (tests and long-lived services)."""
-    _PROCESS_ASSETS.clear()

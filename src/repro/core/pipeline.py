@@ -23,7 +23,6 @@ fingerprint.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -86,8 +85,8 @@ class StudyConfig:
     ``workers > 1``.  Both are inert on the serial path.
 
     ``assets`` (a :class:`~repro.core.assets.CompiledStudyAssets`)
-    supplies a prebuilt compile-once bundle — token automaton, compiled
-    blocklists, PSL — for the hot path; ``None`` (the default) lets the
+    supplies a prebuilt compile-once bundle — token set, PSL — for the
+    hot path; ``None`` (the default) lets the
     study compile its own on first use.  Pass one to share compiled
     state across several studies over the same population.
     """
@@ -251,16 +250,15 @@ class Study:
         """The study's compile-once asset bundle.
 
         ``config.assets`` when one was supplied, otherwise a bundle
-        compiled (lazily, once) from this study's population, spec and
-        token config.  Every stage — parallel fan-out, detection,
+        compiled (lazily, once) from this study's population and token
+        config.  Every stage — parallel fan-out, detection,
         analysis — draws from this single bundle.
         """
         if self.config.assets is not None:
             return self.config.assets
         if self._assets is None:
             self._assets = CompiledStudyAssets.for_population(
-                self.population, population_spec=self.population_spec,
-                token_config=self.config.token_config)
+                self.population, token_config=self.config.token_config)
         return self._assets
 
     @classmethod
@@ -401,26 +399,6 @@ class Study:
                                resources=self.config.resources,
                                supervision=self.config.supervision,
                                chaos=self.config.chaos)
-
-    # -- deprecated crawl surfaces --------------------------------------
-
-    def parallel_crawler(self, checkpoint_dir: Optional[str] = None):
-        """Deprecated: use :meth:`crawl` (or build a
-        :class:`~repro.crawler.ParallelCrawler` directly)."""
-        warnings.warn(
-            "Study.parallel_crawler() is deprecated; use Study.crawl(), "
-            "which dispatches on config.workers",
-            DeprecationWarning, stacklevel=2)
-        return self._parallel_engine(checkpoint_dir=checkpoint_dir)
-
-    def start_crawl(self) -> CrawlSession:
-        """Deprecated: use :meth:`crawl` (or ``crawler().start()`` for a
-        stepwise session)."""
-        warnings.warn(
-            "Study.start_crawl() is deprecated; use Study.crawl() for a "
-            "full crawl or Study.crawler().start() for a stepwise session",
-            DeprecationWarning, stacklevel=2)
-        return self.crawler().start()
 
     # -- the pipeline ----------------------------------------------------
 

@@ -17,17 +17,20 @@ configuration mirrors how the search space behaves in practice:
 
 Both knobs are configurable; ``benchmarks/bench_ablation_depth.py`` measures
 the recall/cost trade-off.
+
+Scanning indexes every token by its first ``K`` characters, ``K`` being
+the shortest token length in the set: each text position costs one dict
+probe, and each candidate is confirmed with ``str.startswith``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import hashes
 from ..obs import NULL_RECORDER, Recorder
-from .aho import AhoCorasick, Match
 from .persona import Persona
 
 _HEX_CHARS = set("0123456789abcdef")
@@ -44,6 +47,16 @@ class TokenOrigin:
     @property
     def encoding_label(self) -> str:
         return hashes.chain_label(self.chain)
+
+
+@dataclass(frozen=True)
+class Match:
+    """One token occurrence: ``text[start:end] == pattern``."""
+
+    start: int
+    end: int
+    pattern: str
+    payload: TokenOrigin
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,6 @@ class CandidateTokenSet:
         self.config = config or TokenSetConfig()
         self.recorder = recorder or NULL_RECORDER
         self._origins: Dict[str, List[TokenOrigin]] = {}
-        self._automaton: AhoCorasick[TokenOrigin] = AhoCorasick()
         # Funnel tallies are kept as plain ints so a precomputed token
         # set can *replay* them into any recorder later (see
         # `replay_funnel`) — that is what keeps traces identical when
@@ -92,7 +104,13 @@ class CandidateTokenSet:
             name: 0 for name in self.FUNNEL_COUNTERS}
         self._scan_distinct_memo: Dict[str, List[TokenOrigin]] = {}
         self._generate()
-        self._automaton.build()
+        # Every token is at least `_prefix_len` characters long, so the
+        # first that-many characters at a text position name every token
+        # that can start there.
+        self._prefix_len = min(map(len, self._origins), default=0)
+        self._index: Dict[str, List[str]] = {}
+        for token in self._origins:
+            self._index.setdefault(token[:self._prefix_len], []).append(token)
         self.replay_funnel(self.recorder)
 
     # -- generation --------------------------------------------------------
@@ -110,7 +128,8 @@ class CandidateTokenSet:
                 # values with exactly one transform application per
                 # chain instead of re-walking the whole chain.  The
                 # enumeration order below is identical to the naive
-                # per-chain product in `_chains` — token insertion
+                # per-chain product (all depth-1 chains, then depth 2,
+                # ...; first transform outermost) — token insertion
                 # order, and with it every downstream scan, must not
                 # change.
                 previous: Dict[Tuple[str, ...], str] = {(): form}
@@ -138,21 +157,6 @@ class CandidateTokenSet:
                             token, TokenOrigin(pii_type, form, chain))
                     previous = level
 
-    def _chains(self, all_names: Sequence[str]) -> Iterable[Tuple[str, ...]]:
-        config = self.config
-        for depth in range(1, config.max_depth + 1):
-            if depth <= config.full_corpus_depth:
-                first_choices: Sequence[str] = all_names
-            else:
-                first_choices = config.chain_alphabet
-            if depth == 1:
-                for name in first_choices:
-                    yield (name,)
-                continue
-            for first in first_choices:
-                for rest in product(config.chain_alphabet, repeat=depth - 1):
-                    yield (first,) + rest
-
     def _add_token(self, token: str, origin: TokenOrigin) -> None:
         if len(token) < self.config.min_token_length:
             self.funnel_counts["tokens.pruned_too_short"] += 1
@@ -165,7 +169,6 @@ class CandidateTokenSet:
         bucket = self._origins.setdefault(token, [])
         if origin not in bucket:
             bucket.append(origin)
-            self._automaton.add(token, origin)
             self.funnel_counts["tokens.origins"] += 1
         else:
             self.funnel_counts["tokens.duplicate_origins"] += 1
@@ -200,11 +203,30 @@ class CandidateTokenSet:
         """Provenance records for an exact token."""
         return list(self._origins.get(token, []))
 
-    def scan(self, text: str) -> List[Match[TokenOrigin]]:
-        """All candidate-token occurrences in ``text`` (single pass)."""
-        if not text:
-            return []
-        return self._automaton.find_all(text)
+    def _occurrences(self, text: str) -> Iterator[Tuple[int, str]]:
+        """``(start, token)`` per occurrence, in start order."""
+        width = self._prefix_len
+        index = self._index
+        if not index:
+            return
+        for start in range(len(text) - width + 1):
+            candidates = index.get(text[start:start + width])
+            if candidates:
+                for token in candidates:
+                    if text.startswith(token, start):
+                        yield start, token
+
+    def scan(self, text: str) -> List[Match]:
+        """All candidate-token occurrences in ``text``.
+
+        Ordered by end offset, then longest token first, then each
+        token's origins in insertion order.
+        """
+        hits = sorted((start + len(token), -len(token), token)
+                      for start, token in self._occurrences(text))
+        return [Match(end + negative_length, end, token, origin)
+                for end, negative_length, token in hits
+                for origin in self._origins[token]]
 
     def scan_distinct(self, text: str) -> List[TokenOrigin]:
         """Distinct origins whose token occurs in ``text``.
@@ -227,7 +249,7 @@ class CandidateTokenSet:
 
     def contains_leak(self, text: str) -> bool:
         """Fast check: does ``text`` contain any candidate token?"""
-        return bool(text) and self._automaton.contains_any(text)
+        return next(self._occurrences(text), None) is not None
 
 
 def _is_hex(token: str) -> bool:

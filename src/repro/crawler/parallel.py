@@ -51,7 +51,7 @@ import os
 from dataclasses import dataclass, field as dataclasses_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.assets import CompiledStudyAssets, StudyAssetsSpec
+from ..core.assets import CompiledStudyAssets
 from ..mailsim import Mailbox
 from ..netsim import CaptureLog
 from ..netsim.faults import FaultEvent, FaultPlan
@@ -183,12 +183,6 @@ class ShardJob:
     #: telemetry: requires ``progress`` to have a channel to ride, and
     #: never touches the dataset or the trace.
     resources: bool = False
-    #: Compact compiled-assets recipe (see
-    #: :class:`~repro.core.assets.StudyAssetsSpec`).  When present the
-    #: worker resolves its population through the process-local assets
-    #: memo, so every shard the process executes shares one rebuilt
-    #: population instead of building its own.
-    assets: Optional[StudyAssetsSpec] = None
 
 
 @dataclass
@@ -218,15 +212,8 @@ def _session_for_job(job: ShardJob) -> CrawlSession:
     if job.checkpoint_path and os.path.exists(job.checkpoint_path):
         return CrawlSession.load(job.checkpoint_path,
                                  expect_shard=job.shard)
-    if job.assets is not None:
-        # Shards never share state *within* the population they crawl
-        # (the layout partitions sites), so every shard this process
-        # executes can run against the one memoised rebuild.
-        population = job.assets.compiled().population
-    else:
-        population = job.spec.build()
     crawler = StudyCrawler(
-        population, profile=job.profile, extension=job.extension,
+        job.spec.build(), profile=job.profile, extension=job.extension,
         firewall=job.firewall, consent_policy=job.consent_policy,
         automated=job.automated, fault_plan=job.fault_plan,
         retry_policy=job.retry_policy,
@@ -405,12 +392,9 @@ class ParallelCrawler:
     deliberately independent of ``workers``.
 
     ``assets`` (a :class:`~repro.core.assets.CompiledStudyAssets`)
-    threads a study's compile-once bundle through the engine: the
-    bundle's population is reused for layout and merge (so the merged
-    dataset's ``population`` is the study's own object), and shard jobs
-    carry the bundle's compact :class:`~repro.core.assets.
-    StudyAssetsSpec` so worker processes share one rebuilt population
-    across all the shards they execute.
+    lends the engine a study's population: it is reused for layout and
+    merge, so the merged dataset's ``population`` is the study's own
+    object.  Shards still crawl their own :meth:`PopulationSpec.build`.
 
     ``supervision`` (a :class:`~repro.crawler.SupervisorConfig`) tunes
     the executor's watchdog deadline, retry budget, and shutdown drain;
@@ -497,17 +481,6 @@ class ParallelCrawler:
             # The compiled bundle's population *is* the study's; reuse
             # it for layout + merge instead of building a duplicate.
             self._population = assets.population
-        # One compact picklable recipe shared by every shard job, so
-        # each executing process resolves its population through the
-        # process-local assets memo exactly once.
-        self._assets_spec = StudyAssetsSpec(
-            population_spec=self.spec,
-            token_config=assets.token_config if assets is not None else None)
-        if assets is not None:
-            # Warm this process's memo so in-process shards reuse the
-            # study's own bundle and forked workers inherit it
-            # copy-on-write instead of rebuilding the population.
-            self._assets_spec.seed(assets)
         self.workers = workers
         self.num_shards = num_shards
         self.profile = profile
@@ -703,5 +676,4 @@ class ParallelCrawler:
                         checkpoint_path=checkpoint_path,
                         trace=self.recorder is not None,
                         progress=self.progress is not None,
-                        resources=self.resources,
-                        assets=self._assets_spec)
+                        resources=self.resources)

@@ -137,3 +137,20 @@ def test_coverage_sets_disjoint_from_unlisted():
     covered = set(easylist_covered_domains()) | \
         set(easyprivacy_covered_domains())
     assert not covered.intersection(UNLISTED_PROVIDERS)
+
+
+def test_token_boundary_edge_cases():
+    """Index tokens only count on whole token runs of the URL."""
+    rules = _rules("||tracker.example^", "/beacon/")
+    for url, blocked in [
+        ("https://tracker.example/x", True),           # token at host
+        ("https://nottracker.examplelong/x", False),   # inside a longer run
+        ("https://a.example/beacon/1", True),          # bounded by separators
+        ("https://a.example/xbeacony/1", False),       # embedded in a run
+        ("https://a.example/p?q=beacon", False),       # token at end of URL
+        ("HTTPS://TRACKER.EXAMPLE/X", True),           # case folding
+    ]:
+        context = RequestContext(url=url, resource_type="image",
+                                 page_domain="shop.example",
+                                 is_third_party=True)
+        assert rules.match(context).blocked is blocked, url

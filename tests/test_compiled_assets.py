@@ -3,8 +3,7 @@
 :class:`repro.core.CompiledStudyAssets` is the single construction path
 for the crawl/analyze hot path's shared state; these tests pin down
 
-* the API surface (construction, spec round-trip, process memo, seeding,
-  eviction, rule-set compilation, detector/token factories),
+* the API surface (construction, detector/token factories),
 * trace equivalence (a reused compiled token set replays the exact
   funnel a fresh one would have recorded), and
 * the hard invariant: the merged ``CrawlDataset.fingerprint()`` is
@@ -14,20 +13,10 @@ for the crawl/analyze hot path's shared state; these tests pin down
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-from repro.blocklist import RuleSet, easyprivacy_text
-from repro.blocklist.matcher import CompiledRuleSet
 from repro.core import CompiledStudyAssets, Study, StudyConfig
-from repro.core.assets import (
-    _PROCESS_ASSETS,
-    _PROCESS_ASSETS_LIMIT,
-    StudyAssetsSpec,
-    clear_process_assets,
-)
-from repro.core.detector import DetectionResult, leaking_requests
+from repro.core.detector import DetectionResult
 from repro.core.tokens import CandidateTokenSet
 from repro.crawler import GeneratedPopulationSpec, ParallelCrawler
 from repro.netsim.faults import FaultPlan
@@ -44,16 +33,7 @@ def _spec(seed: int) -> GeneratedPopulationSpec:
 
 
 def _assets(seed: int) -> CompiledStudyAssets:
-    spec = _spec(seed)
-    return CompiledStudyAssets.for_population(spec.build(),
-                                              population_spec=spec)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo():
-    clear_process_assets()
-    yield
-    clear_process_assets()
+    return CompiledStudyAssets.for_population(_spec(seed).build())
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +44,6 @@ def _fresh_memo():
 def test_fingerprint_invariant_across_workers_and_faults(seed):
     """Seeds 0-4 x workers {1,2,4} +/- faults: assets path == plain path."""
     def fingerprint(workers, fault_seed, assets):
-        clear_process_assets()
         plan = (FaultPlan(seed=fault_seed, transient_rate=0.25)
                 if fault_seed is not None else None)
         return ParallelCrawler(_spec(seed), workers=workers,
@@ -111,7 +90,7 @@ def test_study_config_accepts_a_shared_bundle():
 
 
 # ---------------------------------------------------------------------------
-# Construction, spec round-trip, and the process memo.
+# Construction.
 # ---------------------------------------------------------------------------
 
 def test_for_population_exposes_identity():
@@ -119,45 +98,6 @@ def test_for_population_exposes_identity():
     assert assets.persona is assets.population.persona
     assert assets.catalog is assets.population.catalog
     assert assets.tokens() is assets.tokens()  # compiled once
-
-
-def test_spec_requires_a_population_spec():
-    population = _spec(0).build()
-    bare = CompiledStudyAssets.for_population(population)
-    with pytest.raises(ValueError):
-        bare.spec()
-
-
-def test_spec_round_trip_memoises_per_process():
-    spec = _assets(3).spec()
-    first = spec.compiled()
-    assert spec.compiled() is first
-    # An equal-by-value recipe resolves to the same bundle.
-    assert StudyAssetsSpec(population_spec=_spec(3)).compiled() is first
-    clear_process_assets()
-    assert spec.compiled() is not first
-
-
-def test_seed_prepopulates_the_memo():
-    assets = _assets(4)
-    spec = assets.spec()
-    spec.seed(assets)
-    assert spec.compiled() is assets
-
-
-def test_memo_eviction_is_bounded():
-    for seed in range(_PROCESS_ASSETS_LIMIT + 2):
-        StudyAssetsSpec(population_spec=_spec(seed)).compiled()
-    assert len(_PROCESS_ASSETS) == _PROCESS_ASSETS_LIMIT
-
-
-def test_compile_rules_memoises_and_passes_compiled_through():
-    assets = _assets(0)
-    rules = RuleSet.from_text(easyprivacy_text())
-    compiled = assets.compile_rules(rules)
-    assert isinstance(compiled, CompiledRuleSet)
-    assert assets.compile_rules(rules) is compiled
-    assert assets.compile_rules(compiled) is compiled
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +132,7 @@ def test_analyze_trace_identical_with_and_without_assets():
 
 
 # ---------------------------------------------------------------------------
-# Detector: single-pass results and the deprecated helper.
+# Detector: single-pass results.
 # ---------------------------------------------------------------------------
 
 def test_detector_run_is_one_pass_over_detect():
@@ -207,16 +147,3 @@ def test_detector_run_is_one_pass_over_detect():
     assert detection.leaking_entry_count == len(detection.leaking_entries)
     assert detection.entries_scanned <= len(dataset.log.entries)
 
-
-def test_leaking_requests_is_a_deprecated_wrapper():
-    assets = _assets(0)
-    dataset = ParallelCrawler(_spec(0), workers=1,
-                              num_shards=_NUM_SHARDS,
-                              assets=assets).crawl()
-    detector = assets.detector()
-    expected = detector.run(dataset.log).leaking_entries
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = leaking_requests(dataset.log, detector)
-    assert legacy == expected
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)

@@ -12,6 +12,8 @@ from repro.core.persona import (
     Persona,
 )
 
+from .reference_tokens import naive_origins
+
 
 def test_form_fields_cover_signup_inputs():
     fields = DEFAULT_PERSONA.form_fields()
@@ -81,6 +83,20 @@ def test_uppercase_hex_variant_registered(token_set):
     email = DEFAULT_PERSONA.email
     token = hashes.apply_chain(email, ["sha256"]).upper()
     assert token_set.origins_of(token)
+
+
+@pytest.mark.parametrize("config", [
+    TokenSetConfig(),
+    TokenSetConfig(max_depth=2, full_corpus_depth=2,
+                   chain_alphabet=("md5", "base64")),
+], ids=["default", "full-corpus-depth-2"])
+def test_token_order_equals_naive_chain_product(config):
+    """Level-by-level generation keeps the naive per-chain order."""
+    token_set = CandidateTokenSet(DEFAULT_PERSONA, config=config)
+    expected = naive_origins(DEFAULT_PERSONA, config)
+    assert token_set.tokens() == list(expected)
+    for token in token_set.tokens():
+        assert token_set.origins_of(token) == expected[token]
 
 
 def test_short_tokens_dropped():

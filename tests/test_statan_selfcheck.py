@@ -434,11 +434,11 @@ def test_seeded_handle_in_service_spec_fails_gate(tmp_path, capsys):
 
 # -- the compiled hot path stays inside the gate's scopes ------------------
 #
-# The compile-once layers added for the hot path — the PSL's caches, the
-# Aho-compiled blocklist matcher, and repro.core.assets — sit directly
-# under the fingerprint-invariance contract, and StudyAssetsSpec rides
-# shard-job pickles.  Pin them in scope so any nondeterminism (or
-# unpicklable state on the spec) trips the gate.
+# The compile-once layers on the hot path — the PSL's caches, the
+# blocklist matcher's token index, and repro.core.assets — sit directly
+# under the fingerprint-invariance contract.  Pin them in scope so any
+# nondeterminism (or unpicklable state in the assets module) trips the
+# gate.
 
 
 def test_hot_path_modules_are_in_scope():
@@ -468,7 +468,7 @@ def test_seeded_clock_read_in_psl_fails_gate(tmp_path, capsys):
 
 
 def test_seeded_builtin_hash_in_matcher_fails_gate(tmp_path, capsys):
-    """DET104 covers the compiled matcher: keying the token index on
+    """DET104 covers the blocklist matcher: keying the token index on
     builtin hash() would reorder candidates across processes."""
     code = _seed(tmp_path, "repro/blocklist/matcher_seeded.py",
                  textwrap.dedent("""
@@ -480,8 +480,8 @@ def test_seeded_builtin_hash_in_matcher_fails_gate(tmp_path, capsys):
 
 
 def test_seeded_handle_on_assets_spec_fails_gate(tmp_path, capsys):
-    """PKL303 covers StudyAssetsSpec: the recipe crosses the shard-job
-    pickle boundary, so live handles on spec-like state must trip."""
+    """PKL303 covers repro.core.assets: live handles on spec-like
+    state there must trip."""
     code = _seed(tmp_path, "repro/core/assets/seeded.py", textwrap.dedent("""
         import threading
 
