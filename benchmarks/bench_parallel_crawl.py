@@ -39,7 +39,7 @@ if _SRC not in sys.path:
 from harness import BenchCase, BenchReport, StageTimes, timed  # noqa: E402
 
 from repro import hashes  # noqa: E402
-from repro.core import CompiledStudyAssets, Study, StudyConfig  # noqa: E402
+from repro.core import Study, StudyConfig  # noqa: E402
 from repro.crawler import (  # noqa: E402
     CalibratedPopulationSpec,
     GeneratedPopulationSpec,
@@ -105,17 +105,16 @@ def run(quick: bool = False, out_path: str = OUT_PATH,
         fingerprints = {}
         snapshots = {}
         for workers in worker_counts:
-            # Every case starts cold — fresh assets, empty chain memo —
-            # so a case measures the same thing whether the sweep runs
-            # in one process or one invocation per worker count (as CI
-            # does).  Within a case the assets are compiled once and
-            # threaded exactly as Study.crawl does.
+            # Every case starts cold — a fresh parent population, an
+            # empty chain memo — so a case measures the same thing
+            # whether the sweep runs in one process or one invocation
+            # per worker count (as CI does).  The parent population is
+            # lent to the engine exactly as Study.crawl lends its own.
             hashes.clear_chain_cache()
-            assets = CompiledStudyAssets.for_population(spec.build())
             recorder = Recorder() if trace_path else None
             engine = ParallelCrawler(spec, workers=workers,
                                      num_shards=NUM_SHARDS,
-                                     assets=assets,
+                                     built_population=spec.build(),
                                      recorder=recorder,
                                      resources=True)
             stages = StageTimes()
@@ -134,11 +133,10 @@ def run(quick: bool = False, out_path: str = OUT_PATH,
             # Per-stage breakdown for *every* case — parallel cases
             # report the same crawl/analyze split as the serial
             # reference (wall_seconds stays crawl-only for trajectory
-            # comparability with earlier reports), and analyze reuses
-            # the compiled bundle the way a real study does.
+            # comparability with earlier reports), and analyze builds
+            # its token set and detector the way a real study does.
             study = Study(dataset.population,
-                          config=StudyConfig(recorder=recorder,
-                                             assets=assets))
+                          config=StudyConfig(recorder=recorder))
             with stages.time("analyze"):
                 study.analyze(dataset)
             if recorder is not None and workers == worker_counts[0]:

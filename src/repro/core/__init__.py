@@ -1,7 +1,6 @@
 """Core contribution: persona, candidate tokens, leak detection, analysis,
 and the end-to-end study pipeline."""
 
-from .assets import CompiledStudyAssets
 from .analysis import (
     BreakdownRow,
     ENCODING_ROWS,
@@ -49,7 +48,6 @@ __all__ = [
     "CHANNEL_REFERER",
     "CHANNEL_URI",
     "CandidateTokenSet",
-    "CompiledStudyAssets",
     "CrawlOutcome",
     "DetectionResult",
     "DEFAULT_PERSONA",

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional
 
 from ..browser import BrowserProfile, RetryPolicy, vanilla_firefox
 from ..crawler import CrawlDataset, CrawlSession, StudyCrawler
+from ..crawler.parallel import drive_session
 from ..mailsim import KIND_MARKETING
 from ..netsim.faults import FaultPlan
 from ..obs import NULL_RECORDER, Recorder
@@ -35,7 +36,7 @@ from ..policy import PolicyVerdict, classify_policies, policies_for_sites
 from ..policy import table3 as policy_table3
 from ..tracking import PersistenceAnalyzer, PersistenceReport
 from .analysis import LeakAnalysis
-from .assets import CompiledStudyAssets
+from .detector import LeakDetector
 from .heuristics import HeuristicDetector, SuspectedLeak
 from .leakmodel import LeakEvent
 from .tokens import CandidateTokenSet, TokenSetConfig
@@ -83,17 +84,11 @@ class StudyConfig:
     uses the defaults.  ``chaos`` (a :class:`~repro.crawler.ChaosPlan`)
     injects seeded worker faults for supervision testing; it requires
     ``workers > 1``.  Both are inert on the serial path.
-
-    ``assets`` (a :class:`~repro.core.assets.CompiledStudyAssets`)
-    supplies a prebuilt compile-once bundle — token set, PSL — for the
-    hot path; ``None`` (the default) lets the
-    study compile its own on first use.  Pass one to share compiled
-    state across several studies over the same population.
     """
 
     _FIELDS = ("profile", "token_config", "fault_plan", "retry_policy",
                "workers", "num_shards", "recorder", "progress",
-               "resources", "supervision", "chaos", "assets")
+               "resources", "supervision", "chaos")
 
     def __init__(self, *,
                  profile: Optional[BrowserProfile] = None,
@@ -106,8 +101,7 @@ class StudyConfig:
                  progress: Optional[object] = None,
                  resources: bool = False,
                  supervision: Optional[object] = None,
-                 chaos: Optional[object] = None,
-                 assets: Optional[CompiledStudyAssets] = None) -> None:
+                 chaos: Optional[object] = None) -> None:
         self.profile = profile
         self.token_config = token_config
         self.fault_plan = fault_plan
@@ -119,7 +113,6 @@ class StudyConfig:
         self.resources = resources
         self.supervision = supervision
         self.chaos = chaos
-        self.assets = assets
 
     def replace(self, **changes: object) -> "StudyConfig":
         """A copy of this config with ``changes`` applied.
@@ -244,22 +237,6 @@ class Study:
         self.population = population
         self.config = config or StudyConfig()
         self.population_spec = population_spec
-        self._assets: Optional[CompiledStudyAssets] = None
-
-    def assets(self) -> CompiledStudyAssets:
-        """The study's compile-once asset bundle.
-
-        ``config.assets`` when one was supplied, otherwise a bundle
-        compiled (lazily, once) from this study's population and token
-        config.  Every stage — parallel fan-out, detection,
-        analysis — draws from this single bundle.
-        """
-        if self.config.assets is not None:
-            return self.config.assets
-        if self._assets is None:
-            self._assets = CompiledStudyAssets.for_population(
-                self.population, token_config=self.config.token_config)
-        return self._assets
 
     @classmethod
     def calibrated(cls, config: Optional[StudyConfig] = None) -> "Study":
@@ -338,42 +315,9 @@ class Study:
                 session = CrawlSession.load(resume, expect_shard=None)
             else:
                 session = self.crawler().start()
-            emit = self.config.progress
-            total = session.crawled_count + len(session.remaining_sites)
-            retried = quarantined = 0
-            sampler = None
-            if emit is not None and self.config.resources:
-                from ..obs.runtime import ResourceSampler
-                sampler = ResourceSampler()
-            while not session.done:
-                entries_before = len(session.browser.log.entries)
-                result = session.step()
-                if checkpoint:
-                    session.save(checkpoint)
-                if emit is not None and result is not None:
-                    from ..crawler.flows import STATUS_QUARANTINED
-                    from ..obs.progress import step_heartbeat
-                    retried += 1 if result.attempts > 1 else 0
-                    quarantined += (1 if result.status == STATUS_QUARANTINED
-                                    else 0)
-                    emit(step_heartbeat(
-                        shard=0, crawled=session.crawled_count,
-                        total=total, domain=result.site,
-                        status=result.status, attempts=result.attempts,
-                        requests=(len(session.browser.log.entries)
-                                  - entries_before),
-                        retried=retried, quarantined=quarantined,
-                        resources=(sampler.sample() if sampler is not None
-                                   else None)))
-            if emit is not None:
-                from ..obs.progress import final_heartbeat
-                emit(final_heartbeat(shard=0,
-                                     crawled=session.crawled_count,
-                                     total=total, retried=retried,
-                                     quarantined=quarantined,
-                                     resources=(sampler.sample()
-                                                if sampler is not None
-                                                else None)))
+            drive_session(session, emit=self.config.progress,
+                          resources=self.config.resources,
+                          checkpoint_path=checkpoint)
             dataset = session.finish()
             if recorder is not None and session.recorder is not recorder:
                 # A resumed session carries its own (pickled) recorder;
@@ -387,7 +331,7 @@ class Study:
         """The sharded multi-process engine for this study's population."""
         from ..crawler import ParallelCrawler, PrebuiltPopulationSpec
         spec = self.population_spec or PrebuiltPopulationSpec(self.population)
-        return ParallelCrawler(spec, assets=self.assets(),
+        return ParallelCrawler(spec, built_population=self.population,
                                workers=self.config.workers,
                                num_shards=self.config.num_shards,
                                profile=self.config.profile or vanilla_firefox(),
@@ -439,21 +383,14 @@ class Study:
         recorder = self.config.recorder
         rec = recorder or NULL_RECORDER
         population = dataset.population
-        if population is self.population:
-            assets = self.assets()
-        else:
-            # A dataset from some other population (loaded from disk,
-            # partial salvage, ...): compile a one-off bundle for it.
-            assets = CompiledStudyAssets.for_population(
-                population, token_config=self.config.token_config)
-
         with rec.span("tokens", kind="stage"):
-            tokens = assets.tokens()
-            # The funnel counters a fresh per-call construction would
-            # have recorded, replayed so traces stay bit-identical.
-            assets.replay_token_funnel(recorder)
+            tokens = CandidateTokenSet(population.persona,
+                                       config=self.config.token_config,
+                                       recorder=recorder)
         with rec.span("detect", kind="stage"):
-            detector = assets.detector(recorder=recorder)
+            detector = LeakDetector(tokens, catalog=population.catalog,
+                                    resolver=population.resolver(),
+                                    recorder=recorder)
             detection = detector.run(dataset.log)
             events = detection.events
             leaking_request_count = detection.leaking_entry_count

@@ -82,10 +82,6 @@ class TokenSetConfig:
 class CandidateTokenSet:
     """All strings whose appearance in traffic constitutes a PII leak."""
 
-    #: Funnel counter names, in the order they are replayed.
-    FUNNEL_COUNTERS = ("tokens.pruned_too_short", "tokens.origins",
-                      "tokens.duplicate_origins")
-
     def __init__(self, persona: Persona,
                  config: Optional[TokenSetConfig] = None,
                  recorder: Optional[Recorder] = None) -> None:
@@ -96,12 +92,6 @@ class CandidateTokenSet:
         self.config = config or TokenSetConfig()
         self.recorder = recorder or NULL_RECORDER
         self._origins: Dict[str, List[TokenOrigin]] = {}
-        # Funnel tallies are kept as plain ints so a precomputed token
-        # set can *replay* them into any recorder later (see
-        # `replay_funnel`) — that is what keeps traces identical when
-        # `CompiledStudyAssets` builds the set once and reuses it.
-        self.funnel_counts: Dict[str, int] = {
-            name: 0 for name in self.FUNNEL_COUNTERS}
         self._scan_distinct_memo: Dict[str, List[TokenOrigin]] = {}
         self._generate()
         # Every token is at least `_prefix_len` characters long, so the
@@ -111,7 +101,7 @@ class CandidateTokenSet:
         self._index: Dict[str, List[str]] = {}
         for token in self._origins:
             self._index.setdefault(token[:self._prefix_len], []).append(token)
-        self.replay_funnel(self.recorder)
+        self.recorder.gauge("tokens.candidates", len(self._origins))
 
     # -- generation --------------------------------------------------------
 
@@ -159,7 +149,7 @@ class CandidateTokenSet:
 
     def _add_token(self, token: str, origin: TokenOrigin) -> None:
         if len(token) < self.config.min_token_length:
-            self.funnel_counts["tokens.pruned_too_short"] += 1
+            self.recorder.count("tokens.pruned_too_short")
             return
         self._register(token, origin)
         if self.config.include_case_variants and _is_hex(token):
@@ -169,25 +159,9 @@ class CandidateTokenSet:
         bucket = self._origins.setdefault(token, [])
         if origin not in bucket:
             bucket.append(origin)
-            self.funnel_counts["tokens.origins"] += 1
+            self.recorder.count("tokens.origins")
         else:
-            self.funnel_counts["tokens.duplicate_origins"] += 1
-
-    def replay_funnel(self, recorder: Optional[Recorder]) -> None:
-        """Emit the generation funnel into ``recorder``.
-
-        Counter totals are order-independent aggregates, so replaying
-        the saved tallies produces the exact counters/gauge a fresh
-        construction with the same recorder would have recorded —
-        letting precomputed token sets keep traces bit-identical.
-        """
-        if recorder is None or recorder is NULL_RECORDER:
-            return
-        for name in self.FUNNEL_COUNTERS:
-            value = self.funnel_counts[name]
-            if value:
-                recorder.count(name, value)
-        recorder.gauge("tokens.candidates", len(self._origins))
+            self.recorder.count("tokens.duplicate_origins")
 
     # -- queries -----------------------------------------------------------
 

@@ -51,7 +51,6 @@ import os
 from dataclasses import dataclass, field as dataclasses_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.assets import CompiledStudyAssets
 from ..mailsim import Mailbox
 from ..netsim import CaptureLog
 from ..netsim.faults import FaultEvent, FaultPlan
@@ -221,6 +220,59 @@ def _session_for_job(job: ShardJob) -> CrawlSession:
     return crawler.start(shard=job.shard)
 
 
+def drive_session(session: CrawlSession, *,
+                  emit: Optional[ProgressSink] = None,
+                  resources: bool = False,
+                  checkpoint_path: Optional[str] = None
+                  ) -> Optional[Dict[str, float]]:
+    """Step ``session`` until every site is crawled.
+
+    The one crawl loop, shared by every shard job and by the serial
+    ``Study.crawl``.  After each site it saves ``checkpoint_path`` (when
+    given) and sends ``emit`` a step heartbeat; at the end it sends a
+    final heartbeat.  ``resources=True`` attaches a
+    :class:`~repro.obs.runtime.ResourceSampler` sample to every
+    heartbeat.  Returns the final sample (``None`` without
+    ``resources``); the caller still has to :meth:`~CrawlSession.finish`
+    the session.  Emission only *reads* crawl state — a crawl with
+    progress on finishes with the identical dataset.
+    """
+    shard_index = session.shard.index if session.shard is not None else 0
+    total = session.crawled_count + len(session.remaining_sites)
+    retried = 0
+    quarantined = 0
+    # Built after the session: sampling reads OS counters only (never
+    # crawl state), so the dataset and trace are bit-identical with
+    # telemetry on or off.
+    sampler = ResourceSampler() if resources else None
+    while not session.done:
+        entries_before = len(session.browser.log.entries)
+        result = session.step()
+        if checkpoint_path:
+            session.save(checkpoint_path)
+        if emit is not None and result is not None:
+            if result.attempts > 1:
+                retried += 1
+            if result.status == STATUS_QUARANTINED:
+                quarantined += 1
+            emit(step_heartbeat(
+                shard=shard_index, crawled=session.crawled_count,
+                total=total, domain=result.site, status=result.status,
+                attempts=result.attempts,
+                requests=len(session.browser.log.entries) - entries_before,
+                retried=retried, quarantined=quarantined,
+                resources=sampler.sample() if sampler else None))
+    # One sample shared by the final heartbeat and the caller's result,
+    # so progress.jsonl and the manifest reconcile exactly.
+    final_sample = sampler.sample() if sampler else None
+    if emit is not None:
+        emit(final_heartbeat(shard=shard_index,
+                             crawled=session.crawled_count, total=total,
+                             retried=retried, quarantined=quarantined,
+                             resources=final_sample))
+    return final_sample
+
+
 def run_shard_job(job: ShardJob,
                   emit: Optional[ProgressSink] = None) -> ShardResult:
     """Crawl one shard to completion (the worker-process entry point).
@@ -234,45 +286,11 @@ def run_shard_job(job: ShardJob,
     ``emit`` receives one :class:`~repro.obs.progress.HeartbeatEvent`
     per crawled site (plus a final completion marker); under the
     supervised executor it doubles as the worker's liveness signal.
-    Emission only *reads* crawl state — a crawl with progress on
-    finishes with the identical dataset.
     """
     session = _session_for_job(job)
-    shard_index = session.shard.index if session.shard is not None else 0
-    total = session.crawled_count + len(session.remaining_sites)
-    retried = 0
-    quarantined = 0
-    # Worker-local and built after the session: sampling reads OS
-    # counters only (never crawl state), so the dataset and trace are
-    # bit-identical with telemetry on or off.
-    sampler = ResourceSampler() if job.resources else None
-    final_sample: Optional[Dict[str, float]] = None
-    while not session.done:
-        entries_before = len(session.browser.log.entries)
-        result = session.step()
-        if job.checkpoint_path:
-            session.save(job.checkpoint_path)
-        if emit is not None and result is not None:
-            if result.attempts > 1:
-                retried += 1
-            if result.status == STATUS_QUARANTINED:
-                quarantined += 1
-            emit(step_heartbeat(
-                shard=shard_index, crawled=session.crawled_count,
-                total=total, domain=result.site, status=result.status,
-                attempts=result.attempts,
-                requests=len(session.browser.log.entries) - entries_before,
-                retried=retried, quarantined=quarantined,
-                resources=sampler.sample() if sampler else None))
-    if sampler is not None:
-        # One sample shared by the final heartbeat and the ShardResult,
-        # so progress.jsonl and the manifest reconcile exactly.
-        final_sample = sampler.sample()
-    if emit is not None:
-        emit(final_heartbeat(shard=shard_index,
-                             crawled=session.crawled_count, total=total,
-                             retried=retried, quarantined=quarantined,
-                             resources=final_sample))
+    final_sample = drive_session(session, emit=emit,
+                                 resources=job.resources,
+                                 checkpoint_path=job.checkpoint_path)
     dataset = session.finish()
     if job.checkpoint_path:
         # Persist the finished state too: a re-run of an already-complete
@@ -391,10 +409,11 @@ class ParallelCrawler:
     :func:`~repro.crawler.sharding.default_shard_count` and is
     deliberately independent of ``workers``.
 
-    ``assets`` (a :class:`~repro.core.assets.CompiledStudyAssets`)
-    lends the engine a study's population: it is reused for layout and
-    merge, so the merged dataset's ``population`` is the study's own
-    object.  Shards still crawl their own :meth:`PopulationSpec.build`.
+    ``built_population`` lends the engine the caller's already-built
+    :class:`Population` when ``population`` is a spec: it is reused for
+    layout and merge, so the merged dataset's ``population`` is the
+    caller's own object and the parent never builds a second copy.
+    Shards still crawl their own :meth:`PopulationSpec.build`.
 
     ``supervision`` (a :class:`~repro.crawler.SupervisorConfig`) tunes
     the executor's watchdog deadline, retry budget, and shutdown drain;
@@ -448,7 +467,7 @@ class ParallelCrawler:
 
     def __init__(self, population, workers: int = 1,
                  num_shards: Optional[int] = None,
-                 assets: Optional[CompiledStudyAssets] = None,
+                 built_population: Optional[Population] = None,
                  profile: Optional[object] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[object] = None,
@@ -472,15 +491,10 @@ class ParallelCrawler:
                 "is the caller's own")
         if isinstance(population, PopulationSpec):
             self.spec: PopulationSpec = population
-            self._population: Optional[Population] = None
+            self._population: Optional[Population] = built_population
         else:
             self.spec = PrebuiltPopulationSpec(population)
             self._population = population
-        self.assets = assets
-        if assets is not None and self._population is None:
-            # The compiled bundle's population *is* the study's; reuse
-            # it for layout + merge instead of building a duplicate.
-            self._population = assets.population
         self.workers = workers
         self.num_shards = num_shards
         self.profile = profile

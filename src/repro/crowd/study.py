@@ -27,9 +27,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..browser import BrowserProfile, vanilla_firefox
 from ..core.analysis import LeakAnalysis
-from ..core.assets import CompiledStudyAssets
+from ..core.detector import LeakDetector
 from ..core.leakmodel import LeakEvent
 from ..core.persona import Persona
+from ..core.tokens import CandidateTokenSet
 from ..crawler import StudyCrawler
 from ..tracking import PersistenceAnalyzer
 from ..websim.population import Population
@@ -151,12 +152,13 @@ class CrowdStudy:
         crawler = StudyCrawler(
             population, profile=contributor.profile or vanilla_firefox())
         dataset = crawler.crawl(sites=sites)
-        # Detection runs with the contributor's own token set (compiled
-        # once per contributor): PII stays local, only leak events are
-        # reported upstream.
-        assets = CompiledStudyAssets.for_population(population)
+        # Detection runs with the contributor's own token set: PII stays
+        # local, only leak events are reported upstream.
+        detector = LeakDetector(CandidateTokenSet(population.persona),
+                                catalog=population.catalog,
+                                resolver=population.resolver())
         return ContributorReport(name=contributor.name,
-                                 events=assets.detector().detect(dataset.log))
+                                 events=detector.detect(dataset.log))
 
     def run_iter(self):
         """Yield ``(contributor, report)`` as each contributor finishes.

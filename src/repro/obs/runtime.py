@@ -248,7 +248,7 @@ class ResourceSampler:
     absolute: a high-water mark has no meaningful delta.
 
     Plain picklable-free worker-side state: built inside
-    :func:`~repro.crawler.parallel.run_shard_job`, never crosses a
+    :func:`~repro.crawler.parallel.drive_session`, never crosses a
     process boundary itself — only its dict samples do, riding
     :class:`~repro.obs.progress.HeartbeatEvent.resources`.
     """

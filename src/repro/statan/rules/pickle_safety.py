@@ -28,7 +28,6 @@ from ..engine import FAMILY_PICKLE, Finding, ModuleContext, Rule
 #: parent-side-only handles (conditions, locks, server state) carry
 #: explicit inline suppressions.
 PICKLE_SCOPE: Tuple[str, ...] = (
-    "repro.core.assets",
     "repro.crawler",
     "repro.obs",
     "repro.service",

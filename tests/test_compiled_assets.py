@@ -1,26 +1,22 @@
-"""The compiled-assets API and its hard invariant.
+"""A crawl lent the parent's already-built population.
 
-:class:`repro.core.CompiledStudyAssets` is the single construction path
-for the crawl/analyze hot path's shared state; these tests pin down
+``ParallelCrawler(spec, built_population=...)`` reuses a population the
+caller has already built (compiled once, in the parent) for layout and
+merge, while every shard still crawls its own ``spec.build()``. These
+tests pin down
 
-* the API surface (construction, detector/token factories),
-* trace equivalence (a reused compiled token set replays the exact
-  funnel a fresh one would have recorded), and
 * the hard invariant: the merged ``CrawlDataset.fingerprint()`` is
-  bit-identical with and without precompiled assets, at every worker
-  count, seeds 0-4, faults on and off.
+  bit-identical with and without a lent population, at every worker
+  count, seeds 0-4, faults on and off, and
+* identity: the merged dataset carries the caller's own object.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import CompiledStudyAssets, Study, StudyConfig
-from repro.core.detector import DetectionResult
-from repro.core.tokens import CandidateTokenSet
 from repro.crawler import GeneratedPopulationSpec, ParallelCrawler
 from repro.netsim.faults import FaultPlan
-from repro.obs import Recorder
 from repro.websim.generator import GeneratorConfig
 
 _CONFIG = GeneratorConfig(n_sites=10, n_trackers=4, leak_probability=0.6,
@@ -32,118 +28,26 @@ def _spec(seed: int) -> GeneratedPopulationSpec:
     return GeneratedPopulationSpec(seed=seed, config=_CONFIG)
 
 
-def _assets(seed: int) -> CompiledStudyAssets:
-    return CompiledStudyAssets.for_population(_spec(seed).build())
-
-
-# ---------------------------------------------------------------------------
-# The hard invariant: precompiled assets never move a fingerprint.
-# ---------------------------------------------------------------------------
-
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_fingerprint_invariant_across_workers_and_faults(seed):
-    """Seeds 0-4 x workers {1,2,4} +/- faults: assets path == plain path."""
-    def fingerprint(workers, fault_seed, assets):
+    """Seeds 0-4 x workers {1,2,4} +/- faults: lent path == plain path."""
+    def fingerprint(workers, fault_seed, lent):
         plan = (FaultPlan(seed=fault_seed, transient_rate=0.25)
                 if fault_seed is not None else None)
         return ParallelCrawler(_spec(seed), workers=workers,
                                num_shards=_NUM_SHARDS, fault_plan=plan,
-                               assets=assets).crawl().fingerprint()
+                               built_population=lent).crawl().fingerprint()
 
     for fault_seed in (None, seed + 100):
-        reference = fingerprint(1, fault_seed, assets=None)
+        reference = fingerprint(1, fault_seed, lent=None)
         for workers in (1, 2, 4):
             assert fingerprint(workers, fault_seed,
-                               assets=_assets(seed)) == reference
+                               lent=_spec(seed).build()) == reference
 
 
 def test_parallel_crawler_reuses_the_assets_population():
-    assets = _assets(0)
+    lent = _spec(0).build()
     engine = ParallelCrawler(_spec(0), workers=1, num_shards=_NUM_SHARDS,
-                             assets=assets)
+                             built_population=lent)
     dataset = engine.crawl()
-    assert dataset.population is assets.population
-
-
-def test_study_crawl_and_analyze_thread_one_bundle():
-    spec = _spec(1)
-    study = Study(spec.build(), population_spec=spec,
-                  config=StudyConfig(workers=2, num_shards=_NUM_SHARDS))
-    assert study.assets() is study.assets()  # built once, cached
-    dataset = study.crawl().dataset
-    result = study.analyze(dataset)
-    # A fresh study without the shared bundle, analyzing the same
-    # dataset, agrees event-for-event.
-    plain = Study(spec.build()).analyze(dataset)
-    assert result.events == plain.events
-    assert result.events, "seeded study produced no leak events"
-
-
-def test_study_config_accepts_a_shared_bundle():
-    assets = _assets(2)
-    study = Study(assets.population,
-                  config=StudyConfig(assets=assets))
-    assert study.assets() is assets
-    other = Study(assets.population,
-                  config=StudyConfig(assets=assets))
-    assert other.assets() is assets  # several studies share one bundle
-
-
-# ---------------------------------------------------------------------------
-# Construction.
-# ---------------------------------------------------------------------------
-
-def test_for_population_exposes_identity():
-    assets = _assets(0)
-    assert assets.persona is assets.population.persona
-    assert assets.catalog is assets.population.catalog
-    assert assets.tokens() is assets.tokens()  # compiled once
-
-
-# ---------------------------------------------------------------------------
-# Trace equivalence: compiled state replays the exact inline funnel.
-# ---------------------------------------------------------------------------
-
-def test_replayed_token_funnel_matches_inline_build():
-    population = _spec(0).build()
-    inline = Recorder()
-    CandidateTokenSet(population.persona, recorder=inline)
-    assets = CompiledStudyAssets.for_population(population)
-    replayed = Recorder()
-    assets.replay_token_funnel(replayed)
-    assert replayed.snapshot() == inline.snapshot()
-
-
-def test_analyze_trace_identical_with_and_without_assets():
-    spec = _spec(1)
-    dataset = Study(spec.build()).crawl().dataset
-
-    def snapshot(config):
-        recorder = Recorder()
-        study = Study(dataset.population,
-                      config=config.replace(recorder=recorder))
-        study.analyze(dataset)
-        return recorder.snapshot()
-
-    plain = snapshot(StudyConfig())
-    assets = CompiledStudyAssets.for_population(dataset.population)
-    assets.tokens()  # pre-compile before any recorder exists
-    assert snapshot(StudyConfig(assets=assets)) == plain
-
-
-# ---------------------------------------------------------------------------
-# Detector: single-pass results.
-# ---------------------------------------------------------------------------
-
-def test_detector_run_is_one_pass_over_detect():
-    assets = _assets(0)
-    dataset = ParallelCrawler(_spec(0), workers=1,
-                              num_shards=_NUM_SHARDS,
-                              assets=assets).crawl()
-    detector = assets.detector()
-    detection = detector.run(dataset.log)
-    assert isinstance(detection, DetectionResult)
-    assert detection.events == detector.detect(dataset.log)
-    assert detection.leaking_entry_count == len(detection.leaking_entries)
-    assert detection.entries_scanned <= len(dataset.log.entries)
-
+    assert dataset.population is lent

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import hashes
-from repro.core import CandidateTokenSet, LeakDetector
+from repro.core import CandidateTokenSet, DetectionResult, LeakDetector
 from repro.core.leakmodel import (
     CHANNEL_COOKIE,
     CHANNEL_PAYLOAD,
@@ -11,6 +11,7 @@ from repro.core.leakmodel import (
     CHANNEL_URI,
 )
 from repro.core.persona import DEFAULT_PERSONA
+from repro.crawler import GeneratedPopulationSpec, ParallelCrawler
 from repro.dnssim import Resolver, Zone
 from repro.netsim import (
     CaptureEntry,
@@ -23,6 +24,7 @@ from repro.netsim import (
     encode_json,
     encode_urlencoded,
 )
+from repro.websim.generator import GeneratorConfig
 
 EMAIL = DEFAULT_PERSONA.email
 SHA256_TOKEN = hashes.apply_chain(EMAIL, ["sha256"])
@@ -190,3 +192,19 @@ def test_leaking_requests_counts_entries(plain_detector):
     log.record(_entry("https://t.example/p?uid=%s" % SHA256_TOKEN))
     log.record(_entry("https://t.example/p?uid=clean000000"))
     assert len(plain_detector.run(log).leaking_entries) == 1
+
+
+def test_detector_run_is_one_pass_over_detect():
+    spec = GeneratedPopulationSpec(seed=0, config=GeneratorConfig(
+        n_sites=10, n_trackers=4, leak_probability=0.6,
+        confirmation_probability=0.5))
+    dataset = ParallelCrawler(spec, workers=1, num_shards=5).crawl()
+    population = dataset.population
+    detector = LeakDetector(CandidateTokenSet(population.persona),
+                            catalog=population.catalog,
+                            resolver=population.resolver())
+    detection = detector.run(dataset.log)
+    assert isinstance(detection, DetectionResult)
+    assert detection.events == detector.detect(dataset.log)
+    assert detection.leaking_entry_count == len(detection.leaking_entries)
+    assert detection.entries_scanned <= len(dataset.log.entries)

@@ -11,6 +11,7 @@ from repro.core.persona import (
     PII_TYPES,
     Persona,
 )
+from repro.obs import Recorder
 
 from .reference_tokens import naive_origins
 
@@ -101,8 +102,16 @@ def test_token_order_equals_naive_chain_product(config):
 
 def test_short_tokens_dropped():
     config = TokenSetConfig(min_token_length=10)
-    token_set = CandidateTokenSet(Persona(gender="other"), config=config)
+    recorder = Recorder()
+    token_set = CandidateTokenSet(Persona(gender="other"), config=config,
+                                  recorder=recorder)
     assert all(len(token) >= 10 for token in token_set.tokens())
+    # The generation funnel lands in the recorder.
+    counters = recorder.snapshot()["counters"]
+    assert counters["tokens.pruned_too_short"] > 0
+    assert counters["tokens.origins"] == sum(
+        len(token_set.origins_of(token)) for token in token_set.tokens())
+    assert recorder.gauges["tokens.candidates"].value == token_set.token_count
 
 
 def test_scan_finds_embedded_token(token_set):

@@ -113,6 +113,14 @@ def test_prebuilt_population_spec_matches_generated_spec():
     via_generated = ParallelCrawler(_spec(3), workers=1,
                                     num_shards=3).crawl()
     assert via_prebuilt.fingerprint() == via_generated.fingerprint()
+    # A spec plus the parent's already-built population: the lent object
+    # serves layout and merge, and the crawl is the spec-only crawl.
+    for workers in (1, 2):
+        lent = _spec(3).build()
+        via_lent = ParallelCrawler(_spec(3), workers=workers, num_shards=3,
+                                   built_population=lent).crawl()
+        assert via_lent.population is lent
+        assert via_lent.fingerprint() == via_generated.fingerprint()
 
 
 def test_run_reports_layout_workers_and_fault_events():

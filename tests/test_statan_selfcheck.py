@@ -434,24 +434,19 @@ def test_seeded_handle_in_service_spec_fails_gate(tmp_path, capsys):
 
 # -- the compiled hot path stays inside the gate's scopes ------------------
 #
-# The compile-once layers on the hot path — the PSL's caches, the
-# blocklist matcher's token index, and repro.core.assets — sit directly
-# under the fingerprint-invariance contract.  Pin them in scope so any
-# nondeterminism (or unpicklable state in the assets module) trips the
-# gate.
+# The indexes on the hot path — the PSL's caches, the blocklist
+# matcher's token index, and the candidate token set's prefix index —
+# sit directly under the fingerprint-invariance contract.  Pin them in
+# scope so any nondeterminism trips the gate.
 
 
 def test_hot_path_modules_are_in_scope():
     from repro.statan.engine import ModuleContext
     from repro.statan.rules.determinism import DETERMINISM_SCOPE
-    from repro.statan.rules.pickle_safety import PICKLE_SCOPE
     for module in ("repro.psl.rules", "repro.blocklist.matcher",
-                   "repro.core.assets"):
+                   "repro.core.tokens"):
         ctx = ModuleContext(path="test.py", source="", module=module)
         assert ctx.module_matches(DETERMINISM_SCOPE), module
-    ctx = ModuleContext(path="test.py", source="",
-                        module="repro.core.assets")
-    assert ctx.module_matches(PICKLE_SCOPE)
 
 
 def test_seeded_clock_read_in_psl_fails_gate(tmp_path, capsys):
@@ -474,20 +469,6 @@ def test_seeded_builtin_hash_in_matcher_fails_gate(tmp_path, capsys):
                  textwrap.dedent("""
         def bucket_for(token, n_buckets):
             return hash(token) % n_buckets
-    """))
-    capsys.readouterr()
-    assert code == EXIT_FINDINGS
-
-
-def test_seeded_handle_on_assets_spec_fails_gate(tmp_path, capsys):
-    """PKL303 covers repro.core.assets: live handles on spec-like
-    state there must trip."""
-    code = _seed(tmp_path, "repro/core/assets/seeded.py", textwrap.dedent("""
-        import threading
-
-        class AssetsSpecSeeded:
-            def __init__(self):
-                self.build_lock = threading.Lock()
     """))
     capsys.readouterr()
     assert code == EXIT_FINDINGS
